@@ -122,6 +122,21 @@ func TestWireMatrixBitIdentical(t *testing.T) {
 				co.Compression = true
 				co.DeltaCheckpoints = true
 			}
+			// Hold every job back until the whole fleet's hellos are
+			// counted, so the connection checks see every worker and not
+			// only those that dialed before the campaign drained. The
+			// coordinator starts accepting connections inside Run, so the
+			// gate sits in the scheduler rather than in front of Run.
+			co.Scheduler = SchedulerFunc(func(_ time.Time, camps []CampaignView) []int {
+				if co.wireV0.Load()+co.wireV1.Load() < int64(cell.workers) {
+					return nil
+				}
+				order := make([]int, len(camps))
+				for i := range order {
+					order[i] = i
+				}
+				return order
+			})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var ws []*Worker

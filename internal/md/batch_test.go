@@ -210,7 +210,9 @@ func TestBatchObservers(t *testing.T) {
 
 	stepHits := make([]int64, b.Len())
 	rebuildHits := make([]int64, b.Len())
-	var pairsSeen int64
+	// Per replica: replicas step concurrently, and each observer call
+	// touches only its own replica's slot.
+	pairsSeen := make([]int64, b.Len())
 	b.SetStepObserver(10, func(r int, d time.Duration) {
 		if d < 0 {
 			t.Errorf("negative duration for replica %d", r)
@@ -219,7 +221,7 @@ func TestBatchObservers(t *testing.T) {
 	})
 	b.SetNeighborObserver(func(r, pairs int) {
 		rebuildHits[r]++
-		pairsSeen += int64(pairs)
+		pairsSeen[r] += int64(pairs)
 	})
 
 	b.StepN(40)
@@ -231,7 +233,11 @@ func TestBatchObservers(t *testing.T) {
 			t.Fatalf("replica %d: no rebuild observations", r)
 		}
 	}
-	if pairsSeen == 0 {
+	var totalPairs int64
+	for _, p := range pairsSeen {
+		totalPairs += p
+	}
+	if totalPairs == 0 {
 		t.Fatal("neighbor observer never saw pairs")
 	}
 

@@ -21,6 +21,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark harness build + self-tests =="
+# perfbench is a nested module (replace spice => ../), so go vet/test
+# from the root never see it; it compiles against the program's public
+# API, which this step keeps it building against.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== dist multi-process integration + obs smoke (-race) =="
 # Real coordinator + spiced worker processes: one is frozen mid-job so
 # its lease expires and the job resumes from a streamed checkpoint on
@@ -116,8 +122,9 @@ go test -race -run 'TestTwoTenantsOverHTTPBitIdentical|TestQueueTornTailEveryOff
 echo "== batch ensemble determinism (GOMAXPROCS=4, -race) =="
 # The ensemble batch engine must produce bit-identical trajectories and
 # work logs under real parallel stepping: shared static-substrate grid,
-# SoA adoption, clone-into-batch restore, and the batched campaign
-# runner, all at GOMAXPROCS>1 with the race detector on.
+# SoA adoption, clone-into-batch restore, and the campaign runner's
+# pooled pulls on one shared substrate, all at GOMAXPROCS>1 with the
+# race detector on.
 GOMAXPROCS=4 go test -race -count=1 \
   -run 'TestBatch|TestSharedGrid|TestStaticGrid|TestCloneIntoBatchRestore|TestSubstrateShare|TestBatchedRunner' \
   ./internal/md ./internal/neighbor ./internal/campaign
